@@ -7,7 +7,8 @@ this package is the reproduction's pass framework for it: a manager
 :class:`~repro.analysis.diagnostics.Diagnostic` findings with stable
 ``F0xx`` codes, severities, and source spans.  Condition vacuity is
 decided by a sound, solver-free abstract domain
-(:mod:`~repro.analysis.abstract`); c-domain sorts are inferred by
+(:mod:`~repro.solver.atoms`, shared with the solver's fast path);
+c-domain sorts are inferred by
 :mod:`~repro.analysis.sorts`; cardinalities estimated by
 :mod:`~repro.analysis.cost`.
 
@@ -20,7 +21,7 @@ classification from it).
 See docs/ANALYSIS.md for the code catalog and the soundness argument.
 """
 
-from .abstract import AbstractResult, abstract_sat, prove_unsat, prove_valid
+from ..solver.atoms import AbstractResult, abstract_sat, prove_unsat, prove_valid
 from .dataflow import (
     AbstractValue,
     DataflowResult,

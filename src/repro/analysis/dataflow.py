@@ -27,7 +27,7 @@ Two derived analyses feed :mod:`repro.analysis.optimize`:
   solver then enumerates over).
 
 Soundness is one-sided everywhere, exactly as in
-:mod:`repro.analysis.abstract`: the abstraction may say "don't know"
+:mod:`repro.solver.atoms`: the abstraction may say "don't know"
 (⊤, no narrowing, rule kept), never the reverse.
 """
 

@@ -11,7 +11,7 @@ precise ones.
 
 No pass ever calls the condition solver.  Contradiction and tautology
 detection go through the sound abstract domain of
-:mod:`repro.analysis.abstract`, so the whole pipeline runs in low
+:mod:`repro.solver.atoms`, so the whole pipeline runs in low
 polynomial time even on programs whose conditions would choke Z3.
 """
 
@@ -32,8 +32,8 @@ from ..ctable.parse import Span
 from ..ctable.terms import Constant, CVariable, Variable
 from ..faurelog.ast import Literal, Program, Rule
 from ..faurelog.stratify import dependency_graph
+from ..solver.atoms import prove_unsat, prove_valid
 from ..solver.canonical import canonicalize
-from .abstract import prove_unsat, prove_valid
 from .cost import DEFAULT_RELATION_SIZE, estimate_rule_cost
 from .diagnostics import Diagnostic
 from .sorts import ORDERED_SORTS, SortInference, infer_sorts
@@ -297,7 +297,7 @@ def condition_pass(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     *Per atom*: a comparison proven VALID adds nothing to the derived
     condition (``F010``).
 
-    Both proofs come from :mod:`repro.analysis.abstract`, which is
+    Both proofs come from :mod:`repro.solver.atoms`, which is
     sound (no false positives) by construction — see the differential
     test against :class:`~repro.solver.interface.ConditionSolver`.
     """

@@ -13,6 +13,15 @@ roles —
   c-tables terminate: once the recorded conditions cover all worlds in
   which a fact holds, further derivations stop contributing.
 
+:class:`FaureEvaluator` holds the project's one fixpoint loop: one
+semi-naive round loop and one insert policy (:class:`_ConditionIndex`)
+behind every evaluation path.  Only the rule-firing step varies — the
+c-valuation join search here, or the SQL-compiled plans of
+:class:`~repro.faurelog.sqlcompile.SqlProgramEvaluator` — and
+incremental maintenance (:class:`~repro.faurelog.incremental.
+IncrementalEvaluator`) is the same round loop seeded with a delta
+(:meth:`FaureEvaluator.propagate`).
+
 Time spent in the solver is charged to ``stats.solver_seconds``; the
 remainder of the evaluation wall time is the "sql" bucket, giving the
 same split Table 4 reports.
@@ -20,8 +29,7 @@ same split Table 4 reports.
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis imports ast)
     from ..analysis.optimize import ConditionPrecheck
@@ -45,17 +53,19 @@ __all__ = ["FaureEvaluator", "evaluate"]
 class _ConditionIndex:
     """Per-relation map: data part → conditions recorded so far.
 
-    Alongside each recorded (original) condition, the *canonical* form is
-    kept in a set, so a re-derived condition that is semantically equal
-    but syntactically different — reordered conjuncts, un-folded
-    constants — is recognised by a set lookup instead of a solver
+    The dedup half of the one insert policy (:meth:`FaureEvaluator.
+    _insert`) that every evaluation path shares.  Alongside each
+    recorded (original) condition, the *canonical* form is kept (when
+    the solver memoizes), so a re-derived condition that is semantically
+    equal but syntactically different — reordered conjuncts, un-folded
+    constants — is recognised by a lookup instead of a solver
     implication call.  Recorded originals are what end up in the result
     table, so output stays byte-identical with memoization on or off.
     """
 
     def __init__(self) -> None:
         self._by_key: Dict[Tuple[Term, ...], List[Condition]] = {}
-        self._canon_by_key: Dict[Tuple[Term, ...], set] = {}
+        self._canon_by_key: Dict[Tuple[Term, ...], List[Condition]] = {}
         # Cache of disjoin(existing) per key, invalidated on record():
         # is_new is called once per derived tuple, so rebuilding the
         # disjunction each time dominates dedup cost on wide keys.
@@ -81,7 +91,7 @@ class _ConditionIndex:
         # Canonical membership: equivalent-by-rewriting conditions skip
         # the implication solver entirely (sound — the solver's verdict
         # for them is necessarily TRUE).
-        if solver.memo is not None and solver.canonical(condition) in self._canon_by_key[key]:
+        if solver.memo is not None and solver.canonical(condition) in self._canon_by_key.get(key, ()):
             return False
         # Three-valued dedup: only a *definite* "implied by what's
         # recorded" may skip the insert.  UNKNOWN (budget exhausted)
@@ -114,9 +124,10 @@ class _ConditionIndex:
     ) -> None:
         self._by_key.setdefault(key, []).append(condition)
         self._disjoined.pop(key, None)
-        canon = self._canon_by_key.setdefault(key, set())
         if solver is not None and solver.memo is not None:
-            canon.add(solver.canonical(condition))
+            # A list, not a set: most keys hold one condition, and the
+            # scan is no longer than the ``condition in existing`` one.
+            self._canon_by_key.setdefault(key, []).append(solver.canonical(condition))
 
 
 class FaureEvaluator:
@@ -131,8 +142,10 @@ class FaureEvaluator:
         both (an ablation mode; recursion may then fail to terminate on
         cyclic inputs).
     max_iterations:
-        Safety valve for the fixpoint loop (per stratum); ``None`` means
-        unbounded.
+        Safety valve for the fixpoint loop: the number of semi-naive
+        rounds allowed per stratum after the round that fires every rule
+        on the full database; exceeding it raises :class:`ProgramError`.
+        ``None`` means unbounded.
     prune:
         When False, unsatisfiable-condition tuples are kept (ablation of
         the paper's step 3); dedup still uses the solver if present.
@@ -143,7 +156,10 @@ class FaureEvaluator:
         returns what was derived so far, sets :attr:`partial`, and
         counts the event in ``stats.partial_results`` (a partial
         fixpoint under-approximates, so downstream verdicts report
-        inconclusive rather than "holds").
+        inconclusive rather than "holds").  Clear :attr:`interruptible`
+        to rule that out: an evaluator that maintains a resident state must
+        never stop part-way, so a budget may then only turn verdicts
+        into UNKNOWN, and those tuples are kept.
     """
 
     def __init__(
@@ -181,6 +197,10 @@ class FaureEvaluator:
             self.inactive_rules = frozenset()
         #: True when the last evaluation was cut short by a budget.
         self.partial = False
+        #: False: never stop the fixpoint at a blown deadline.
+        self.interruptible = True
+        #: Per-IDB-predicate subsumption index of the last evaluation.
+        self._indexes: Dict[str, _ConditionIndex] = {}
         #: (predicate, data part, condition, rule label) per derived tuple,
         #: in derivation order — populated when record_provenance is set.
         self.provenance: List[Tuple[str, Tuple[Term, ...], Condition, Optional[str]]] = []
@@ -261,30 +281,19 @@ class FaureEvaluator:
         # A caller-supplied storage lets repeated evaluations over the
         # same database reuse its (lazily built) indexes.
         working = self._storage if self._storage is not None else Storage(self.database)
-        derived = Database()
-        indexes: Dict[str, _ConditionIndex] = {}
+        self._indexes = {}
         tables: Dict[str, CTable] = {}
-
-        def ensure_table(predicate: str, arity: int) -> CTable:
-            table = tables.get(predicate)
-            if table is None:
-                schema = [f"c{i}" for i in range(arity)]
-                table = CTable(predicate, schema)
-                tables[predicate] = table
-                indexes[predicate] = _ConditionIndex()
-                self.database.add_table(table)  # visible to body matching
-            return table
-
-        added_to_db: List[str] = []
         try:
             for predicate in idb:
                 arity = program.arity_of(predicate)
-                if arity is not None and predicate not in tables:
-                    ensure_table(predicate, arity)
-                    added_to_db.append(predicate)
+                if arity is not None:
+                    table = CTable(predicate, [f"c{i}" for i in range(arity)])
+                    tables[predicate] = table
+                    self._indexes[predicate] = _ConditionIndex()
+                    self.database.add_table(table)  # visible to body matching
 
             for stratum in stratify(program):
-                self._run_stratum(program, stratum, working, tables, indexes)
+                self._run_stratum(program, stratum, working)
         except BudgetExceeded:
             # Mid-iteration exhaustion: in degrade mode terminate with a
             # flagged partial result (the finally below restores the EDB
@@ -294,102 +303,159 @@ class FaureEvaluator:
             self.partial = True
             self.stats.partial_results += 1
         finally:
-            for name in added_to_db:
+            for name in tables:
                 self.database.drop_table(name)
                 working.invalidate(name)
+        return Database(tables.values())
 
-        for predicate, table in tables.items():
-            derived.add_table(table)
-        return derived
+    def adopt(self, idb: Database) -> None:
+        """Index an IDB this evaluator did not derive (a restored snapshot).
+
+        Rows are recorded in table order, which is the order an
+        :meth:`evaluate` run recorded them in, so later
+        :meth:`propagate` calls make the same decisions they would
+        have made on the original state.
+        """
+        self._indexes = {}
+        for table in idb:
+            index = self._indexes[table.name] = _ConditionIndex()
+            for tup in table:
+                index.record(tup.values, tup.condition, self.solver)
+
+    def propagate(
+        self, program: Program, working: Storage, delta: Dict[str, CTable]
+    ) -> int:
+        """Semi-naive rounds over ``working`` seeded with ``delta``.
+
+        The incremental entry point: ``working`` holds the EDB and the
+        IDB this evaluator last produced (via :meth:`evaluate` or
+        :meth:`adopt`), the delta rows are already stored in it, and
+        every rule of the program that reads a delta predicate fires
+        until nothing new is derived.  Returns the number of new IDB
+        tuples.
+        """
+        before = self.stats.tuples_generated
+        self._rounds(self._active_rules(program), working, delta)
+        return self.stats.tuples_generated - before
 
     # -- stratum fixpoint -------------------------------------------------------
 
-    def _run_stratum(
-        self,
-        program: Program,
-        stratum: FrozenSet[str],
-        working: Storage,
-        tables: Dict[str, CTable],
-        indexes: Dict[str, _ConditionIndex],
-    ) -> None:
-        rules = [
-            r
-            for index, r in enumerate(program)
-            if r.head.predicate in stratum and index not in self.inactive_rules
+    def _active_rules(
+        self, program: Program, stratum: Optional[FrozenSet[str]] = None
+    ) -> List[Rule]:
+        return [
+            rule
+            for index, rule in enumerate(program)
+            if (stratum is None or rule.head.predicate in stratum)
+            and index not in self.inactive_rules
         ]
 
-        def insert(rule: Rule, head_values: Tuple[Term, ...], condition: Condition) -> bool:
-            predicate = rule.head.predicate
-            table = tables[predicate]
-            index = indexes[predicate]
-            if not self._keep(condition):
-                return False
-            start = phase_clock()
-            try:
-                new = index.is_new(
-                    head_values, condition, self.solver,
-                    precheck=self.precheck, stats=self.stats,
-                )
-            finally:
-                self.stats.solver_seconds += phase_clock() - start
-            if not new:
-                return False
-            index.record(head_values, condition, self.solver)
-            working.indexed(predicate).add(list(head_values), condition)
-            self.stats.tuples_generated += 1
-            if self.record_provenance:
-                self.provenance.append(
-                    (predicate, head_values, condition, rule.label)
-                )
-            return True
+    def _check_deadline(self) -> None:
+        # Cooperative cancellation point: a blown deadline stops the
+        # fixpoint between rules or rounds, never mid-insert, so tables
+        # stay internally consistent.
+        if self.interruptible and self.governor is not None:
+            self.governor.check_deadline()
 
+    def _run_stratum(
+        self, program: Program, stratum: FrozenSet[str], working: Storage
+    ) -> None:
+        rules = self._active_rules(program, stratum)
         # Round 0: fire every rule on the full database.
-        delta: Dict[str, CTable] = {p: CTable(p, tables[p].schema) for p in stratum}
+        delta: Dict[str, CTable] = {}
         for rule in rules:
-            if self.governor is not None:
-                self.governor.check_deadline()
-            for bindings, condition in derive(rule, working):
-                values = build_head(rule, bindings)
-                if insert(rule, values, condition):
-                    delta[rule.head.predicate].add(list(values), condition)
+            self._check_deadline()
+            for values, condition in self._fire(rule, working):
+                self._insert(rule, values, condition, working, delta)
         self.stats.iterations += 1
+        self._rounds(rules, working, delta)
 
-        # Semi-naive rounds: re-fire only rules that read this stratum,
-        # once per in-stratum positive literal bound to the delta.
+    def _rounds(
+        self, rules: List[Rule], working: Storage, delta: Dict[str, CTable]
+    ) -> None:
+        """Semi-naive rounds: re-fire only the rules that read a delta
+        predicate, once per positive literal bound to the delta.
+
+        ``max_iterations`` bounds the number of these rounds (the round
+        that fires every rule on the full database is not counted).
+        """
+        readers = [
+            (rule, [literal.predicate for literal in rule.positive_literals()])
+            for rule in rules
+        ]
         iteration = 1
-        while any(len(t) for t in delta.values()):
-            if self.governor is not None:
-                # Cooperative mid-iteration cancellation point: a blown
-                # deadline stops the fixpoint between rounds, never
-                # mid-insert, so tables stay internally consistent.
-                self.governor.check_deadline()
+        while delta:
+            self._check_deadline()
             if self.max_iterations is not None and iteration > self.max_iterations:
                 raise ProgramError(
                     f"fixpoint exceeded {self.max_iterations} iterations"
                 )
-            delta_indexed = {
-                name: IndexedTable(table) for name, table in delta.items() if len(table)
-            }
-            next_delta: Dict[str, CTable] = {
-                p: CTable(p, tables[p].schema) for p in stratum
-            }
-            for rule in rules:
-                positives = list(rule.positive_literals())
-                for position, literal in enumerate(positives):
-                    if literal.predicate not in delta_indexed:
+            delta_indexed = {name: IndexedTable(table) for name, table in delta.items()}
+            next_delta: Dict[str, CTable] = {}
+            for rule, predicates in readers:
+                for position, predicate in enumerate(predicates):
+                    if predicate not in delta_indexed:
                         continue
-                    for bindings, condition in derive(
-                        rule,
-                        working,
-                        delta_override=delta_indexed,
-                        delta_position=position,
+                    for values, condition in self._fire(
+                        rule, working, delta_indexed, position
                     ):
-                        values = build_head(rule, bindings)
-                        if insert(rule, values, condition):
-                            next_delta[rule.head.predicate].add(list(values), condition)
+                        self._insert(rule, values, condition, working, next_delta)
             delta = next_delta
             iteration += 1
             self.stats.iterations += 1
+
+    def _fire(
+        self,
+        rule: Rule,
+        working: Storage,
+        delta: Optional[Dict[str, IndexedTable]] = None,
+        position: Optional[int] = None,
+    ) -> Iterator[Tuple[Tuple[Term, ...], Condition]]:
+        """The rule-firing step: (head values, condition) per derivation.
+
+        With ``delta``, the positive literal at ``position`` reads the
+        delta relation and the others read the full ones.  This step is
+        c-valuation join search; :class:`~repro.faurelog.sqlcompile.
+        SqlProgramEvaluator` overrides it with SQL-compiled plans.
+        """
+        for bindings, condition in derive(
+            rule, working, delta_override=delta, delta_position=position
+        ):
+            yield build_head(rule, bindings), condition
+
+    def _insert(
+        self,
+        rule: Rule,
+        values: Tuple[Term, ...],
+        condition: Condition,
+        working: Storage,
+        delta: Dict[str, CTable],
+    ) -> None:
+        """The one insert policy: prune, dedup by subsumption, store."""
+        if not self._keep(condition):
+            return
+        predicate = rule.head.predicate
+        index = self._indexes[predicate]
+        start = phase_clock()
+        try:
+            new = index.is_new(
+                values, condition, self.solver,
+                precheck=self.precheck, stats=self.stats,
+            )
+        finally:
+            self.stats.solver_seconds += phase_clock() - start
+        if not new:
+            return
+        index.record(values, condition, self.solver)
+        stored = working.indexed(predicate)
+        stored.add(list(values), condition)
+        bucket = delta.get(predicate)
+        if bucket is None:
+            bucket = delta[predicate] = CTable(predicate, stored.schema)
+        bucket.add(list(values), condition)
+        self.stats.tuples_generated += 1
+        if self.record_provenance:
+            self.provenance.append((predicate, values, condition, rule.label))
 
 
 def evaluate(

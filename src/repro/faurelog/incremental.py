@@ -10,7 +10,9 @@ announcement, a new ACL row — without recomputing from scratch.
 the IDB under
 
 * :meth:`insert` — add a (possibly conditional, possibly partial) EDB
-  fact and propagate via semi-naive rounds seeded from the delta;
+  fact and propagate it: the round loop and insert policy of the one
+  fixpoint loop (:meth:`FaureEvaluator.propagate`), seeded with the
+  new fact as the delta;
 * :meth:`weaken` — *widen* an existing fact's condition (e.g. a link
   once thought conditional turns out unconditional), which is also a
   monotone growth of the represented worlds.
@@ -21,27 +23,32 @@ disappear carries a c-variable guard), after which "deletion" is just
 assigning the guard, no recomputation needed.  Monotonicity is enforced:
 programs whose results could shrink under EDB growth (any negation on a
 path from the touched relation) are rejected.
+
+A maintained state must never under-approximate, so its evaluator is
+not interruptible: a resource budget only turns solver verdicts into
+UNKNOWN (the tuple is kept, and counted in ``stats.unknown_kept``);
+it never stops a propagation part-way.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..analysis.optimize import ConditionPrecheck
 
-from ..ctable.condition import Condition, TRUE, disjoin
+from ..ctable.condition import Condition, TRUE
 from ..ctable.table import CTable, Database
-from ..ctable.terms import Term
-from ..engine.stats import EvalStats
-from ..engine.storage import IndexedTable, Storage
+from ..engine.storage import Storage
 from ..solver.interface import ConditionSolver
-from .ast import Program, ProgramError, Rule
+from .ast import Program, ProgramError
 from .evaluation import FaureEvaluator
-from .stratify import dependency_graph, stratify
-from .valuation import build_head, derive
+from .stratify import dependency_graph
+# The join search runs inside the shared fixpoint loop; the name stays importable
+# here so tools that wrap ``derive`` per module keep covering this path.
+from .valuation import derive  # noqa: F401
 
 __all__ = ["IncrementalEvaluator"]
 
@@ -60,56 +67,30 @@ class IncrementalEvaluator:
         self.program = program
         self.database = database
         self.solver = solver
-        self.stats = EvalStats()
-        # Static pre-admission impact slicing (``--optimize``): rules are
-        # indexed by the predicates their bodies read, so a delta only
-        # visits its reader rules.  Iteration order (program order per
-        # round) is unchanged — a non-reader rule can never match the
-        # delta, so skipping it is behavior-neutral under any governor.
-        self.precheck = precheck
-        if (
-            solver is not None
-            and solver.governor is not None
-            and solver.governor.injector is not None
-        ):
-            # Call-indexed fault schedules must see the original sequence.
-            self.precheck = None
-        self._readers: Dict[str, List[Rule]] = {}
-        for rule in program:
-            for literal in rule.positive_literals():
-                bucket = self._readers.setdefault(literal.predicate, [])
-                if not bucket or bucket[-1] is not rule:
-                    bucket.append(rule)
+        # Pre-admission static precheck (``--optimize``): per-tuple
+        # sat/entailment verdicts without solver calls.  The evaluator stands
+        # it down itself under fault injection.
+        self._fixpoint = FaureEvaluator(database, solver=solver, precheck=precheck)
+        self._fixpoint.interruptible = False
+        self.stats = self._fixpoint.stats
         self._graph = dependency_graph(program)
-        self._strata = stratify(program)
-        self._stratum_of: Dict[str, int] = {}
-        for i, stratum in enumerate(self._strata):
-            for pred in stratum:
-                self._stratum_of[pred] = i
         if restored_idb is not None:
             # Snapshot restore (serve-mode compaction / replica bootstrap):
             # the IDB tables were serialized row-for-row from a state this
-            # same class produced, so adopting them verbatim — and then
-            # rebuilding the indexes and condition bookkeeping below from
-            # their insertion order — reproduces that state byte-exactly
-            # without re-running the initial evaluation.
+            # same class produced, so adopting them verbatim — and indexing
+            # them in their insertion order — reproduces that state
+            # byte-exactly without re-running the initial evaluation.
             self.result = restored_idb
+            self._fixpoint.adopt(restored_idb)
         else:
-            # initial full evaluation
-            evaluator = FaureEvaluator(database, solver=solver, precheck=self.precheck)
-            self.result = evaluator.evaluate(program)
-            self.stats.add(evaluator.stats)
+            # The initial full evaluation; its subsumption index is the
+            # one every later propagation extends.
+            self.result = self._fixpoint.evaluate(program)
         # combined EDB+IDB view used for incremental matching
         self._combined = Database(
             [t for t in database] + [t for t in self.result]
         )
         self._storage = Storage(self._combined)
-        # per-predicate condition bookkeeping for subsumption dedup
-        self._conditions: Dict[str, Dict[Tuple[Term, ...], List[Condition]]] = {}
-        for table in self.result:
-            per = self._conditions.setdefault(table.name, {})
-            for tup in table:
-                per.setdefault(tup.data_key(), []).append(tup.condition)
 
     # -- monotonicity guard ----------------------------------------------
 
@@ -145,16 +126,12 @@ class IncrementalEvaluator:
     def insert(self, predicate: str, values: Sequence, condition: Condition = TRUE) -> int:
         """Add an EDB fact; returns the number of new IDB derivations."""
         self.check_insertable(predicate)
-        table = self._combined.table(predicate)
-        added = self._storage.indexed(predicate).add(list(values), condition)
-        # mirror into the caller's database so both views stay consistent
-        self.database.table(predicate).add(list(values), condition)
-        if not added:
+        stored = self._storage.indexed(predicate)
+        if not stored.add(list(values), condition):
             return 0
-        new_tuple = table.tuples()[-1]
-        delta = CTable(predicate, table.schema)
-        delta.add(new_tuple)
-        return self._propagate({predicate: delta})
+        delta = CTable(predicate, stored.schema)
+        delta.add(list(values), condition)
+        return self._fixpoint.propagate(self.program, self._storage, {predicate: delta})
 
     def weaken(self, predicate: str, values: Sequence, extra_condition: Condition) -> int:
         """Widen a fact's worlds: add the same data part under a new condition."""
@@ -189,94 +166,6 @@ class IncrementalEvaluator:
         and propagation is a no-op for every derived table.
         """
         return tuple(sorted(self._affected_predicates(predicate)))
-
-    def _is_new(self, predicate: str, key: Tuple[Term, ...], condition: Condition) -> bool:
-        per = self._conditions.setdefault(predicate, {})
-        existing = per.get(key)
-        if existing is None:
-            return True
-        if condition in existing:
-            return False
-        if self.solver is None:
-            return True
-        disjoined = disjoin(existing)
-        if self.precheck is not None:
-            hint = self.precheck.implies_hint(condition, disjoined)
-            if hint is not None:
-                self.stats.extra["static_implies_hits"] = (
-                    self.stats.extra.get("static_implies_hits", 0) + 1
-                )
-                return not hint
-        return not self.solver.implies(condition, disjoined)
-
-    def _delta_satisfiable(self, condition: Condition) -> bool:
-        """Satisfiability for delta pruning, via the static precheck when
-        it can answer (definite verdicts agree with the solver)."""
-        if self.precheck is not None:
-            hint = self.precheck.sat_hint(condition)
-            if hint is not None:
-                self.stats.extra["static_sat_hits"] = (
-                    self.stats.extra.get("static_sat_hits", 0) + 1
-                )
-                return hint
-        assert self.solver is not None
-        return self.solver.is_satisfiable(condition)
-
-    def _record(self, predicate: str, key: Tuple[Term, ...], condition: Condition) -> None:
-        self._conditions.setdefault(predicate, {}).setdefault(key, []).append(condition)
-
-    def _propagate(self, initial_delta: Dict[str, CTable]) -> int:
-        new_count = 0
-        delta = dict(initial_delta)
-        # rounds proceed until no rule derives anything new anywhere
-        while delta:
-            delta_indexed = {
-                name: IndexedTable(table) for name, table in delta.items() if len(table)
-            }
-            if not delta_indexed:
-                break
-            next_delta: Dict[str, CTable] = {}
-            # Reader-index slicing: only rules with a positive body
-            # literal over a delta predicate can fire this round, and
-            # they are visited in program order — exactly the rules the
-            # unsliced loop's membership check would have let through.
-            reader_ids = {
-                id(rule)
-                for name in delta_indexed
-                for rule in self._readers.get(name, ())
-            }
-            for rule in self.program:
-                if id(rule) not in reader_ids:
-                    continue
-                positives = list(rule.positive_literals())
-                for position, literal in enumerate(positives):
-                    if literal.predicate not in delta_indexed:
-                        continue
-                    for bindings, condition in derive(
-                        rule,
-                        self._storage,
-                        delta_override=delta_indexed,
-                        delta_position=position,
-                    ):
-                        if self.solver is not None and not self._delta_satisfiable(
-                            condition
-                        ):
-                            self.stats.tuples_pruned += 1
-                            continue
-                        head = build_head(rule, bindings)
-                        pred = rule.head.predicate
-                        if not self._is_new(pred, head, condition):
-                            continue
-                        self._record(pred, head, condition)
-                        self._storage.indexed(pred).add(list(head), condition)
-                        bucket = next_delta.setdefault(
-                            pred, CTable(pred, self.result.table(pred).schema)
-                        )
-                        bucket.add(list(head), condition)
-                        new_count += 1
-                        self.stats.tuples_generated += 1
-            delta = next_delta
-        return new_count
 
     # -- views -------------------------------------------------------------------
 

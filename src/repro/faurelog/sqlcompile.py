@@ -9,10 +9,13 @@ mini-SQL engine, giving the project the same two-engine structure:
 * :class:`SqlRuleCompiler` — one rule body becomes one SELECT over the
   engine's extended relational algebra (scans, products, condition
   selections), with the head as the projection;
-* :class:`SqlProgramEvaluator` — stratified, iterated execution: per
-  stratum, run each rule's SELECT, insert the derived (data, condition)
-  pairs into the IDB table, repeat until no tuple with a non-subsumed
-  condition appears.
+* :class:`SqlProgramEvaluator` — the rule-firing step of the one
+  fixpoint loop (:class:`~repro.faurelog.evaluation.FaureEvaluator`):
+  per stratum and semi-naive round, run each rule's SELECT — with the
+  literal at the delta position scanning the delta table — and hand the
+  derived (data, condition) pairs to its shared prune-and-subsume
+  insert policy, until no tuple with a non-subsumed condition
+  appears.
 
 Full language coverage: joins, comparisons, implicit pattern matching,
 and stratified negation (compiled to :class:`AntiJoin` — NOT EXISTS with
@@ -22,11 +25,11 @@ evaluator is property-tested.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..ctable.condition import Comparison, Condition, TRUE, conjoin
 from ..ctable.table import CTable, Database
-from ..ctable.terms import Constant, CVariable, Term, Variable
+from ..ctable.terms import CVariable, Term, Variable
 from ..engine.algebra import (
     AntiJoin,
     ColumnRef,
@@ -38,12 +41,17 @@ from ..engine.algebra import (
     Scan,
     evaluate_plan,
 )
-from ..engine.stats import EvalStats
+from ..engine.storage import IndexedTable, Storage
 from ..solver.interface import ConditionSolver
-from .ast import Literal, Program, ProgramError, Rule
-from .stratify import stratify
+from .ast import ProgramError, Rule
+from .evaluation import FaureEvaluator
 
 __all__ = ["SqlRuleCompiler", "SqlProgramEvaluator", "compile_rule"]
+
+
+def delta_table_name(predicate: str) -> str:
+    """The name a semi-naive delta relation is scanned under."""
+    return f"delta:{predicate}"
 
 
 class SqlRuleCompiler:
@@ -60,8 +68,12 @@ class SqlRuleCompiler:
         self.rule = rule
         self.db = db
 
-    def compile(self) -> Tuple[PlanNode, List[str]]:
+    def compile(self, delta_position: Optional[int] = None) -> Tuple[PlanNode, List[str]]:
         """Returns (plan, head column template).
+
+        ``delta_position`` (an index among the rule's positive literals)
+        makes that literal scan the semi-naive delta relation
+        (:func:`delta_table_name`) instead of the full one.
 
         The head template lists, per head term, either a qualified
         column name (for bound symbols) or ``None`` (for constant /
@@ -80,7 +92,12 @@ class SqlRuleCompiler:
             table = self.db.table(literal.predicate)
             alias = f"t{index}"
             mapping = {c: f"{alias}.{c}" for c in table.schema}
-            plans.append(Rename(Scan(literal.predicate, alias), mapping, name=alias))
+            source = (
+                delta_table_name(literal.predicate)
+                if index == delta_position
+                else literal.predicate
+            )
+            plans.append(Rename(Scan(source, alias), mapping, name=alias))
             for position, term in enumerate(literal.atom.terms):
                 column = f"{alias}.{table.schema[position]}"
                 if isinstance(term, (Variable, CVariable)):
@@ -185,8 +202,13 @@ def compile_rule(rule: Rule, db: Database) -> PlanNode:
     return plan
 
 
-class SqlProgramEvaluator:
-    """Stratified iteration of SQL-compiled rules (the paper's driver)."""
+class SqlProgramEvaluator(FaureEvaluator):
+    """Stratified iteration of SQL-compiled rules (the paper's §6 loop).
+
+    The fixpoint loop, insert policy and ``max_iterations`` meaning are
+    :class:`~repro.faurelog.evaluation.FaureEvaluator`'s; only the
+    rule-firing step differs: each firing runs the rule's compiled plan.
+    """
 
     def __init__(
         self,
@@ -194,82 +216,26 @@ class SqlProgramEvaluator:
         solver: Optional[ConditionSolver] = None,
         max_iterations: Optional[int] = None,
     ):
-        self.database = database
-        self.solver = solver
-        self.max_iterations = max_iterations
-        self.stats = EvalStats()
+        super().__init__(database, solver=solver, max_iterations=max_iterations)
 
-    def evaluate(self, program: Program) -> Database:
-        """Run to fixpoint; returns the IDB as a database."""
-        idb = program.idb_predicates()
-        clash = idb & set(self.database.names())
-        if clash:
-            raise ProgramError(f"IDB predicates shadow stored tables: {sorted(clash)}")
-
-        # IDB tables live inside the (temporary) working database so
-        # compiled plans can scan them.
-        working = Database([t for t in self.database])
-        tables: Dict[str, CTable] = {}
-        conditions: Dict[str, Dict[Tuple[Term, ...], List[Condition]]] = {}
-        for predicate in idb:
-            arity = program.arity_of(predicate) or 0
-            table = working.create_table(predicate, [f"c{i}" for i in range(arity)])
-            tables[predicate] = table
-            conditions[predicate] = {}
-
-        def insert(predicate: str, values: Tuple[Term, ...], condition: Condition) -> bool:
-            if self.solver is not None and not self.solver.is_satisfiable(condition):
-                self.stats.tuples_pruned += 1
-                return False
-            per = conditions[predicate]
-            existing = per.get(values)
-            if existing is not None:
-                if condition in existing:
-                    return False
-                if self.solver is not None:
-                    from ..ctable.condition import disjoin
-
-                    if self.solver.implies(condition, disjoin(existing)):
-                        return False
-            per.setdefault(values, []).append(condition)
-            tables[predicate].add(list(values), condition)
-            self.stats.tuples_generated += 1
-            return True
-
-        for stratum in stratify(program):
-            rules = [r for r in program if r.head.predicate in stratum]
-            compiled: List[Tuple[Rule, Optional[SqlRuleCompiler], Optional[PlanNode]]] = []
-            for rule in rules:
-                if rule.is_fact:
-                    compiled.append((rule, None, None))
-                else:
-                    compiler = SqlRuleCompiler(rule, working)
-                    plan, _ = compiler.compile()
-                    compiled.append((rule, compiler, plan))
-            iteration = 0
-            changed = True
-            while changed:
-                if self.max_iterations is not None and iteration >= self.max_iterations:
-                    raise ProgramError(
-                        f"fixpoint exceeded {self.max_iterations} iterations"
-                    )
-                changed = False
-                for rule, compiler, plan in compiled:
-                    if compiler is None:
-                        values = tuple(rule.head.terms)
-                        if insert(rule.head.predicate, values, TRUE):
-                            changed = True
-                        continue
-                    result = evaluate_plan(
-                        plan, working, solver=self.solver, prune=True, stats=self.stats
-                    )
-                    for values, condition in compiler.head_rows(result):
-                        if insert(rule.head.predicate, values, condition):
-                            changed = True
-                iteration += 1
-                self.stats.iterations += 1
-
-        out = Database()
-        for table in tables.values():
-            out.add_table(table)
-        return out
+    def _fire(
+        self,
+        rule: Rule,
+        working: Storage,
+        delta: Optional[Dict[str, IndexedTable]] = None,
+        position: Optional[int] = None,
+    ) -> Iterator[Tuple[Tuple[Term, ...], Condition]]:
+        if rule.is_fact:
+            yield tuple(rule.head.terms), TRUE
+            return
+        compiler = SqlRuleCompiler(rule, working.db)
+        plan, _ = compiler.compile(delta_position=position)
+        db = working.db
+        if delta is not None:
+            # The delta relation is visible to the plan under its own
+            # name, next to the full relations.
+            predicate = list(rule.positive_literals())[position].predicate
+            db = Database(working.db)
+            db.add_table(delta[predicate].table.copy(delta_table_name(predicate)))
+        result = evaluate_plan(plan, db, solver=self.solver, prune=True, stats=self.stats)
+        yield from compiler.head_rows(result)

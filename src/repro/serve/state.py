@@ -243,10 +243,9 @@ class ServeState:
         precheck = None
         if self.optimize:
             # Static pre-admission slicing: the optimizer's precheck gives
-            # per-update sat/entailment verdicts without solver calls and
-            # arms the evaluator's reader-index impact slicing.  Replay
-            # runs the identical optimized path, so recovered answers stay
-            # byte-identical to the uninterrupted run's.
+            # per-update sat/entailment verdicts without solver calls.
+            # Replay runs the identical optimized path, so recovered
+            # answers stay byte-identical to the uninterrupted run's.
             from ..analysis.optimize import optimize_program
 
             optimization = optimize_program(self.program, database, domains)

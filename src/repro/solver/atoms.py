@@ -1,10 +1,9 @@
 """Interval/atom semi-decision procedure — the solver's fast path.
 
-This module is the shared home of the sound interval + equality
-abstract domain that used to live in :mod:`repro.analysis.abstract`
-(which now re-exports it), promoted into the solver package as the
-first tier of :class:`~repro.solver.interface.ConditionSolver`'s
-decision ladder.
+This module is the one home of the sound interval + equality abstract
+domain: the first tier of :class:`~repro.solver.interface.
+ConditionSolver`'s decision ladder, and the F010/F011 (tautology /
+contradiction) proofs of the static analyzer (:mod:`repro.analysis`).
 
 Two layers live here:
 

@@ -15,7 +15,7 @@ from repro.ctable.condition import (
     ne,
 )
 from repro.ctable.terms import Constant, CVariable, Variable, cvar
-from repro.analysis.abstract import (
+from repro.solver.atoms import (
     AbstractResult,
     abstract_sat,
     prove_unsat,

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.analysis.abstract import prove_unsat, prove_valid
+from repro.solver.atoms import prove_unsat, prove_valid
 from repro.ctable.condition import (
     Comparison,
     LinearAtom,

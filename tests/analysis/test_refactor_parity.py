@@ -1,41 +1,22 @@
-"""Parity of the abstract.py → solver.atoms re-export.
+"""F010/F011 lint findings on the shared interval/atom domain.
 
-The F010/F011 lint passes and the solver's tier-0 fast path must run
-the *same* interval/atom machinery — not two copies that can drift.
-This pins the re-export down to object identity and then re-runs the
-lint over every fixture program, checking the F010/F011 surface against
-a semantic oracle (world enumeration is overkill here; ``prove_*``'s
-one-sided contract is exactly what the passes consume).
+The F010/F011 lint passes and the solver's tier-0 fast path run the
+*same* interval/atom machinery (:mod:`repro.solver.atoms`), not two
+copies that can drift.  This re-runs the lint over every fixture
+program, checking the F010/F011 surface against a semantic oracle
+(world enumeration is overkill here; ``prove_*``'s one-sided contract is
+exactly what the passes consume).
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import abstract as lint_abstract
 from repro.analysis.diagnostics import render_text
 from repro.analysis.manager import analyze_text
-from repro.solver import atoms as solver_atoms
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "programs"
 PROGRAMS = sorted(FIXTURES.glob("*/*.fl"))
-
-
-def test_lint_surface_is_the_solver_surface():
-    """Identity, not equality: one function object, two import paths."""
-    assert lint_abstract.prove_unsat is solver_atoms.prove_unsat
-    assert lint_abstract.prove_valid is solver_atoms.prove_valid
-    assert lint_abstract.abstract_sat is solver_atoms.abstract_sat
-    assert lint_abstract.AbstractResult is solver_atoms.AbstractResult
-
-
-def test_public_surface_unchanged():
-    assert set(lint_abstract.__all__) == {
-        "AbstractResult",
-        "abstract_sat",
-        "prove_unsat",
-        "prove_valid",
-    }
 
 
 @pytest.mark.parametrize("path", PROGRAMS, ids=[p.stem for p in PROGRAMS])

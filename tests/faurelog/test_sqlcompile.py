@@ -9,7 +9,7 @@ from repro.ctable.condition import TRUE, conjoin, disjoin, eq, ne
 from repro.ctable.table import CTable, Database
 from repro.ctable.terms import Constant, CVariable
 from repro.faurelog.ast import ProgramError
-from repro.faurelog.evaluation import evaluate
+from repro.faurelog.evaluation import FaureEvaluator, evaluate
 from repro.faurelog.parser import parse_program
 from repro.faurelog.sqlcompile import SqlProgramEvaluator, compile_rule
 from repro.solver.domains import DomainMap, FiniteDomain
@@ -127,11 +127,15 @@ class TestProgramEvaluator:
             SqlProgramEvaluator(db, solver=solver).evaluate(program)
 
     def test_max_iterations(self, db, solver):
+        """One meaning on both paths: the semi-naive rounds allowed after
+        the round that fires every rule on the full database."""
         program = parse_program(
             "Out(a, b) :- E(a, b). Out(a, b) :- E(a, c), Out(c, b)."
         )
-        with pytest.raises(ProgramError):
-            SqlProgramEvaluator(db, solver=solver, max_iterations=1).evaluate(program)
+        for evaluator in (FaureEvaluator, SqlProgramEvaluator):
+            with pytest.raises(ProgramError):
+                evaluator(db, solver=solver, max_iterations=0).evaluate(program)
+            evaluator(db, solver=solver, max_iterations=1).evaluate(program)
 
     def test_stats_collected(self, db, solver):
         program = parse_program("Out(a, b) :- E(a, b).")

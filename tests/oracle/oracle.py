@@ -11,24 +11,38 @@ in each world yields exactly the ground answer.
 Used by ``test_differential.py`` to pin down the memoization layer: the
 per-world semantics must hold with the shared memo on, off, and under
 heavy fault injection (where the solver degrades to UNKNOWN on a large
-fraction of calls).
+fraction of calls) — and on every evaluation path: the native
+evaluator, the SQL-compiled rule step, and incremental maintenance.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ctable.condition import TRUE, conjoin, disjoin, eq, ne
 from repro.ctable.table import CTable, Database
 from repro.ctable.terms import CVariable
 from repro.ctable.worlds import instantiate_database, iter_assignments
+from repro.faurelog.ast import ProgramError
 from repro.faurelog.evaluation import FaureEvaluator
+from repro.faurelog.incremental import IncrementalEvaluator
 from repro.faurelog.parser import parse_program
+from repro.faurelog.sqlcompile import SqlProgramEvaluator
 from repro.solver.domains import BOOL_DOMAIN, DomainMap, FiniteDomain
 from repro.solver.interface import ConditionSolver
 from repro.verify.baseline import GroundEvaluator
 
-__all__ = ["CASES", "OracleCase", "run_faure", "render_result", "assert_matches_worlds"]
+__all__ = [
+    "CASES",
+    "OracleCase",
+    "PATHS",
+    "run_faure",
+    "run_incremental",
+    "run_sql",
+    "render_result",
+    "assert_matches_worlds",
+]
 
 
 class OracleCase:
@@ -123,6 +137,45 @@ def run_faure(case: OracleCase, memo, governor=None) -> Database:
     solver = ConditionSolver(case.domains, governor=governor, memo=memo)
     evaluator = FaureEvaluator(case.database, solver=solver, governor=governor)
     return evaluator.evaluate(case.program)
+
+
+def run_sql(case: OracleCase, memo, governor=None) -> Database:
+    """Evaluate the case's program through the SQL-compiled rule step."""
+    solver = ConditionSolver(case.domains, governor=governor, memo=memo)
+    return SqlProgramEvaluator(case.database, solver=solver).evaluate(case.program)
+
+
+def run_incremental(case: OracleCase, memo, governor=None, seed: int = 0) -> Database:
+    """Maintain the case's program under growth of its EDB.
+
+    Every relation that may grow (its growth does not flow through
+    negation) starts empty; its rows are then inserted one at a time
+    in a seeded random order.
+    """
+    empty = Database(CTable(t.name, t.schema) for t in case.database)
+    probe = IncrementalEvaluator(case.program, empty)
+    growable = set()
+    for table in case.database:
+        try:
+            probe.check_insertable(table.name)
+        except ProgramError:
+            continue
+        growable.add(table.name)
+    database = Database(
+        CTable(t.name, t.schema) if t.name in growable else t.copy()
+        for t in case.database
+    )
+    solver = ConditionSolver(case.domains, governor=governor, memo=memo)
+    evaluator = IncrementalEvaluator(case.program, database, solver=solver)
+    rows = [(t.name, tup) for t in case.database if t.name in growable for tup in t]
+    random.Random(seed).shuffle(rows)
+    for name, tup in rows:
+        evaluator.insert(name, tup.values, tup.condition)
+    return evaluator.result
+
+
+#: The evaluation paths besides the native one, by name.
+PATHS = {"sql": run_sql, "incremental": run_incremental}
 
 
 def render_result(result: Database, outputs: Iterable[str]) -> str:

@@ -220,3 +220,25 @@ def test_wal_fingerprint_guards_against_foreign_workloads(make_state, db_text):
     other_db = db_text.replace("p1", "q9")
     with pytest.raises(CheckpointError, match="different workload"):
         make_state(wal_name="guarded.wal", database_text=other_db)
+
+
+def test_budgeted_updates_degrade_and_replay_byte_identically(make_state):
+    """A solver budget may only turn verdicts into UNKNOWN (kept rows),
+    never fail an update: with a one-atom ceiling the second update's
+    conjunction ``$up == 1 AND $up == 0`` cannot be decided, and a
+    restart on the same WAL must rebuild exactly the same rows."""
+    budgets = ServeBudgets(max_condition_atoms=1)
+    state = make_state(wal_name="budgeted.wal", budgets=budgets)
+    for entry in (
+        insert("F", ("p2", "E", "G"), condition="$up == 1"),
+        insert("F", ("p2", "G", "H"), condition="$up == 0"),
+    ):
+        response = state.submit(entry)
+        assert response["ok"] and "recovered" not in response
+    assert state.counters["recoveries"] == 0
+    assert state.evaluator.stats.unknown_kept > 0
+    expected = rows_of(state, "R")
+
+    restarted = make_state(wal_name="budgeted.wal", budgets=budgets)
+    assert restarted.counters["recoveries"] == 0
+    assert rows_of(restarted, "R") == expected
