@@ -49,7 +49,7 @@ import dataclasses
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..ctable.condition import Condition, FALSE, TRUE, TrueCond, conjoin, eq
 from ..ctable.io import (
@@ -171,6 +171,7 @@ class ServeState:
         self.epochs = EpochManager()
         self._epoch = 0
         self._lock = threading.Lock()  # serializes submit/recovery/compaction
+        self._query_lock = threading.Lock()  # serializes use of the query memo
         self.counters: Dict[str, int] = {
             "updates_applied": 0,
             "updates_duplicate": 0,
@@ -236,6 +237,11 @@ class ServeState:
             base_seq = 0
         self.domains = domains
         self._memo = MemoTable()
+        # Queries get their own memo: a shared one would let where-filters
+        # warm the update solver's caches, so a budgeted update's
+        # verdicts would depend on which queries ran before it — and the
+        # ingest thread would share a table with the handler threads.
+        self._query_memo = MemoTable()
         self._update_governor = self.budgets.governor()
         solver = ConditionSolver(
             domains, governor=self._update_governor, memo=self._memo
@@ -578,17 +584,27 @@ class ServeState:
         """Answer from the current snapshot; never blocks an ingest.
 
         Guard assignments recorded by withdrawals are substituted into
-        every row condition first: a condition folding to FALSE drops
-        the row (those worlds no longer exist), one folding to TRUE
-        returns the row unconditional — so answers after a withdrawal
-        match a from-scratch evaluation without the withdrawn fact.
+        the row conditions that mention a withdrawn guard: a condition
+        folding to FALSE drops the row (those worlds no longer exist),
+        one folding to TRUE returns the row unconditional — so answers
+        after a withdrawal match a from-scratch evaluation without the
+        withdrawn fact.  Rows that mention no withdrawn guard are
+        returned with their condition as stored.
 
-        With a ``where`` filter, each surviving row's condition conjoined
-        with the filter goes to a fresh per-request governed solver:
-        ``SAT`` rows are returned, ``UNSAT`` rows dropped, and
-        ``UNKNOWN`` (budget ran out) rows returned flagged — the
-        response degrades to ``status: INCONCLUSIVE`` rather than
-        stalling or failing.
+        With a ``where`` filter, each surviving row is decided by a
+        fresh per-request governed solver: ``SAT`` rows are returned,
+        ``UNSAT`` rows dropped, and ``UNKNOWN`` (budget ran out) rows
+        returned flagged — the response degrades to ``status:
+        INCONCLUSIVE`` rather than stalling or failing.  Only a row that
+        shares a c-variable with the filter is decided on its condition
+        conjoined with the filter; for any other row the domains are per
+        variable, so the verdict is the filter's own (decided once per
+        request) combined with the row condition's.  A filter that is
+        unsatisfiable on its own matches no row, and rows with equal
+        conditions share one verdict.
+
+        Only the returned page (``limit`` rows) is converted to the wire
+        encoding; ``total`` counts every matching row.
         """
         snapshot = self.epochs.current()
         try:
@@ -602,37 +618,55 @@ class ServeState:
         if condition is not None and assignments:
             condition = condition.substitute(assignments)
         self.counters["queries"] += 1
-        rows = []
+        kept: List[Tuple[CTuple, bool, Condition]] = []
         status = "OK"
         solver: Optional[ConditionSolver] = None
-        for tup in view.tuples:
-            effective = (
-                tup.condition.substitute(assignments) if assignments else tup.condition
-            )
-            if effective is FALSE:
-                continue  # withdrawn worlds: the row no longer exists
-            if condition is None:
-                rows.append(row_to_obj(tup, condition=effective))
-                continue
-            if condition is FALSE:
-                continue
-            if solver is None:
+        filter_verdict = Verdict.SAT
+        filter_vars = condition.cvariables() if condition is not None else frozenset()
+        decided: Dict[Condition, Verdict] = {}  # equal conditions, one verdict
+        # Handler threads answer queries concurrently; the query memo is
+        # not synchronized.
+        with self._query_lock:
+            if condition is not None:
                 solver = ConditionSolver(
-                    self.domains, governor=self.budgets.governor(), memo=self._memo
+                    self.domains, governor=self.budgets.governor(), memo=self._query_memo
                 )
-            verdict = solver.sat_verdict(conjoin([effective, condition]))
-            if verdict is Verdict.UNSAT:
-                continue
-            unknown = verdict is Verdict.UNKNOWN
-            if unknown:
-                status = "INCONCLUSIVE"
-            rows.append(row_to_obj(tup, unknown=unknown, condition=effective))
+                filter_verdict = solver.sat_verdict(condition)
+            # An unsatisfiable filter matches no row in any world.
+            tuples = () if filter_verdict is Verdict.UNSAT else view.tuples
+            for tup in tuples:
+                effective = tup.condition
+                if assignments and not assignments.keys().isdisjoint(
+                    effective.cvariables()
+                ):
+                    effective = effective.substitute(assignments)
+                if effective is FALSE:
+                    continue  # withdrawn worlds: the row no longer exists
+                if solver is None:
+                    kept.append((tup, False, effective))
+                    continue
+                verdict = decided.get(effective)
+                if verdict is None:
+                    if filter_vars.isdisjoint(effective.cvariables()):
+                        # UNSAT outranks UNKNOWN, which outranks SAT.
+                        verdict = filter_verdict
+                        own = solver.sat_verdict(effective)
+                        if own is not Verdict.SAT:
+                            verdict = own
+                    else:
+                        verdict = solver.sat_verdict(conjoin([effective, condition]))
+                    decided[effective] = verdict
+                if verdict is Verdict.UNSAT:
+                    continue
+                unknown = verdict is Verdict.UNKNOWN
+                if unknown:
+                    status = "INCONCLUSIVE"
+                kept.append((tup, unknown, effective))
         if status == "INCONCLUSIVE":
             self.counters["queries_inconclusive"] += 1
-        total = len(rows)
+        total = len(kept)
         truncated = limit is not None and total > limit
-        if truncated:
-            rows = rows[:limit]
+        page = kept[:limit] if truncated else kept
         response: Dict[str, Any] = {
             "ok": True,
             "epoch": snapshot.epoch,
@@ -640,7 +674,10 @@ class ServeState:
             "relation": relation,
             "schema": list(view.schema),
             "status": status,
-            "rows": rows,
+            "rows": [
+                row_to_obj(tup, unknown=unknown, condition=effective)
+                for tup, unknown, effective in page
+            ],
             "total": total,
         }
         if truncated:

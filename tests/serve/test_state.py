@@ -242,3 +242,30 @@ def test_budgeted_updates_degrade_and_replay_byte_identically(make_state):
     restarted = make_state(wal_name="budgeted.wal", budgets=budgets)
     assert restarted.counters["recoveries"] == 0
     assert rows_of(restarted, "R") == expected
+
+
+
+def test_queries_do_not_warm_the_budgeted_update_solver(make_state):
+    """Where-filtered queries decide their conditions on a memo of their
+    own.  With a one-call budget per update, a state queried between its
+    updates must end with the same rows as an identical state that was
+    never queried.  On a shared memo the queries decide ``$up != 1`` and
+    ``$up != 0 AND $up != 1`` ahead of the third update, which then has
+    its one call left to drop a row the unqueried twin keeps as UNKNOWN."""
+    budgets = ServeBudgets(solver_call_budget=1)
+    quiet = make_state(wal_name="quiet.wal", budgets=budgets)
+    queried = make_state(wal_name="queried.wal", budgets=budgets)
+    updates = [
+        insert("F", ("p2", "E", "G"), condition="$up != 0"),
+        UpdateEntry(kind="insert", relation="F", values=("p1", "C", "D"), guard=""),
+        insert("F", ("p2", "G", "H"), condition="$up != 1"),
+        UpdateEntry(kind="insert", relation="F", values=("p2", "H", "I"), guard=""),
+    ]
+    for entry in updates:
+        # One decided call per query request: repeat to warm several.
+        for where in ["$up != 1"] * 3 + ["$up != 0"] * 3:
+            queried.query("R", where=where)
+        for state in (quiet, queried):
+            assert state.submit(entry)["ok"]
+    assert quiet.evaluator.stats.unknown_kept > 0  # the budget did bite
+    assert rows_of(queried) == rows_of(quiet)
